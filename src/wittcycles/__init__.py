@@ -19,6 +19,8 @@ from .matrices import (
     IntMatrix,
     det_poly_direct,
     det_poly_from_traces,
+    det_poly_ihara_bass,
+    edge_walk_traces,
     kronecker,
     mat_mul,
     mat_pow,

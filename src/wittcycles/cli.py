@@ -22,6 +22,7 @@ from .matrices import (
     IntMatrix,
     det_poly_direct,
     det_poly_from_traces,
+    edge_walk_traces,
     kronecker,
     mat_pow,
     trace_powers,
@@ -257,11 +258,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     named: list[tuple[str, IntMatrix, tuple[int, ...]]] = []
     for path in args.graphs:
         g = _load(path, args.strict_connected)
-        t = build_edge_matrix(symmetrize(g))
+        sg = symmetrize(g)
+        t = build_edge_matrix(sg)
         depth = max(args.order, t.dim, VERIFY_POWER_N * max(VERIFY_POWER_L),
                     VERIFY_MIXED_N * max(VERIFY_MIXED_RS))
-        traces = list(trace_powers(t, depth))
-        named.append((Path(path).stem, t, tuple(traces)))
+        named.append((Path(path).stem, t, edge_walk_traces(sg.origins, sg.ends, depth)))
 
     if args.perturb_trace is not None:
         name, t, traces = named[0]
@@ -301,8 +302,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if not check_connected(g):
         warnings.append("graph is not connected")
     sg = symmetrize(g)
-    t = build_edge_matrix(sg)
-    traces = trace_powers(t, args.oracle_max)
+    traces = edge_walk_traces(sg.origins, sg.ends, args.oracle_max)
     rows = []
     all_match = True
     for n in range(1, args.oracle_max + 1):

@@ -59,7 +59,8 @@ class OrientedGraph:
             if not isinstance(e, (list, tuple)) or len(e) != 2:
                 raise ValueError(f"edge {k} must be a pair, got {e!r}")
             u, v = e
-            if not isinstance(u, int) or not isinstance(v, int):
+            # bool is a subclass of int, so true/false would pass as 1/0.
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in e):
                 raise ValueError(f"edge {k} endpoints must be integers, got {e!r}")
             edges.append((u, v))
         return cls(vertices, tuple(edges))

@@ -1,8 +1,11 @@
-"""Dense arbitrary-precision integer matrices and the polynomial det(1 - zT).
+"""Dense arbitrary-precision integer matrices, edge-matrix power traces, and
+the polynomial det(1 - zT).
 
-Two independent routes to det(1 - zT) are provided on purpose: a Newton-style
-recursion over power traces and a direct fraction-free determinant evaluation.
-They must agree; nothing in the package trusts either one unchecked.
+Three independent routes to det(1 - zT) are provided on purpose: a
+Newton-style recursion over power traces, a direct fraction-free determinant
+evaluation of the 2|E| x 2|E| edge matrix, and the Ihara-Bass identity on the
+|V| x |V| vertex matrices. They must agree; nothing in the package trusts one
+unchecked.
 """
 
 from __future__ import annotations
@@ -76,6 +79,43 @@ def trace_powers(t: IntMatrix, k_max: int) -> tuple[int, ...]:
     for _ in range(k_max):
         traces.append(power.trace())
         power = mat_mul(power, t)
+    return tuple(traces)
+
+
+def edge_walk_traces(
+    origins: Sequence[int], ends: Sequence[int], k_max: int
+) -> tuple[int, ...]:
+    """(tr T^1, ..., tr T^k_max) for the edge matrix T of a symmetrized graph,
+    without building T.
+
+    origins[i] / ends[i] are the endpoints of oriented edge i, and the inverse
+    of edge i is (i + m) mod 2m for 2m oriented edges. T = B - J, where
+    B[i][j] = [end(i) = origin(j)] has rank at most |V| and J pairs each edge
+    with its inverse, so one row of P*T costs O(2m) instead of O((2m)^2): add
+    the row into one bucket per end vertex, then
+    new[j] = bucket[origin(j)] - row[inverse(j)].
+    """
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    dim = len(origins)
+    if dim == 0 or dim % 2 or len(ends) != dim:
+        raise ValueError(f"need equal, even, nonzero edge counts, got {dim} and {len(ends)}")
+    half = dim // 2
+    vertex_count = max(max(origins), max(ends)) + 1
+    rows = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+    traces = []
+    for _ in range(k_max):
+        next_rows = []
+        for row in rows:
+            bucket = [0] * vertex_count
+            for x, v in zip(row, ends):
+                bucket[v] += x
+            # row[half:] + row[:half] lists row[inverse(j)] in order of j.
+            next_rows.append(
+                [bucket[u] - x for u, x in zip(origins, row[half:] + row[:half])]
+            )
+        rows = next_rows
+        traces.append(sum(row[i] for i, row in enumerate(rows)))
     return tuple(traces)
 
 
@@ -172,22 +212,11 @@ def bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def det_poly_direct(t: IntMatrix) -> DetPolynomial:
-    """det(1 - zT) by exact evaluation-interpolation, independent of traces.
-
-    Evaluates det(I - k*T) at the integer points k = 0..dim with Bareiss
-    elimination, then recovers the unique degree-<=dim polynomial through
-    those values with exact rational Newton interpolation.
-    """
-    n = t.dim
-    values = []
-    for k in range(n + 1):
-        rows = [
-            [(1 if i == j else 0) - k * t.entries[i][j] for j in range(n)]
-            for i in range(n)
-        ]
-        values.append(bareiss_determinant(rows))
-
+def _interpolate(values: Sequence[int]) -> list[int]:
+    """Integer coefficients c_0..c_n of the unique degree-<=n polynomial that
+    takes values[k] at z = k for k = 0..n, by exact rational Newton
+    interpolation."""
+    n = len(values) - 1
     # Newton divided differences on nodes 0, 1, ..., n.
     diffs: list[Fraction] = [Fraction(v) for v in values]
     for level in range(1, n + 1):
@@ -206,4 +235,80 @@ def det_poly_direct(t: IntMatrix) -> DetPolynomial:
         if c.denominator != 1:
             raise ExactnessError(f"interpolated coefficient {i} is not integral: {c}")
         out.append(int(c))
-    return DetPolynomial(_trimmed(out))
+    return out
+
+
+def det_poly_direct(t: IntMatrix) -> DetPolynomial:
+    """det(1 - zT) by exact evaluation-interpolation, independent of traces.
+
+    Evaluates det(I - k*T) at the integer points k = 0..dim with Bareiss
+    elimination, then recovers the unique degree-<=dim polynomial through
+    those values with exact rational Newton interpolation.
+    """
+    n = t.dim
+    values = []
+    for k in range(n + 1):
+        rows = [
+            [(1 if i == j else 0) - k * t.entries[i][j] for j in range(n)]
+            for i in range(n)
+        ]
+        values.append(bareiss_determinant(rows))
+    return DetPolynomial(_trimmed(_interpolate(values)))
+
+
+def _times_one_minus_z2_power(coeffs: Sequence[int], exponent: int) -> list[int]:
+    """coeffs * (1 - z^2)^exponent for any integer exponent.
+
+    A negative exponent divides; each division by (1 - z^2) must be exact,
+    or ExactnessError is raised.
+    """
+    out = list(coeffs)
+    for _ in range(exponent):
+        out = [c - (out[i - 2] if i >= 2 else 0) for i, c in enumerate(out + [0, 0])]
+    for step in range(-exponent):
+        # q_i = p_i + q_{i-2} solves p = (1 - z^2) q; the two top terms are
+        # the remainder.
+        quotient: list[int] = []
+        for i, c in enumerate(out):
+            quotient.append(c + (quotient[i - 2] if i >= 2 else 0))
+        if len(quotient) < 2 or any(quotient[-2:]):
+            raise ExactnessError(
+                f"division {step + 1} of {-exponent} by (1 - z^2) is not exact: {out}"
+            )
+        out = quotient[:-2]
+    return out
+
+
+def det_poly_ihara_bass(
+    vertex_count: int, origins: Sequence[int], ends: Sequence[int]
+) -> DetPolynomial:
+    """det(1 - zT) by the Ihara-Bass identity, independent of traces and of T:
+
+        det(I - zT) = (1 - z^2)^(|E| - |V|) * det(I - zA + z^2 (D - I)),
+
+    where A[u][v] counts the oriented edges from u to v and D[v] counts the
+    oriented edges leaving v, so a loop adds 2 to A[v][v] and 2 to D[v].
+    The |V| x |V| determinant is evaluated with Bareiss elimination at
+    z = 0..2|V| and interpolated exactly; the (1 - z^2) factor is a
+    multiplication, or an exact division when |E| < |V|.
+    """
+    if vertex_count < 1:
+        raise ValueError(f"vertex_count must be >= 1, got {vertex_count}")
+    if len(origins) % 2 or len(ends) != len(origins):
+        raise ValueError(
+            f"need equal, even oriented edge counts, got {len(origins)} and {len(ends)}"
+        )
+    adjacency = [[0] * vertex_count for _ in range(vertex_count)]
+    for u, v in zip(origins, ends):
+        adjacency[u][v] += 1
+    degree = [sum(row) for row in adjacency]
+    values = []
+    for z in range(2 * vertex_count + 1):
+        rows = [[-z * x for x in row] for row in adjacency]
+        for v in range(vertex_count):
+            rows[v][v] += 1 + z * z * (degree[v] - 1)
+        values.append(bareiss_determinant(rows))
+    coeffs = _times_one_minus_z2_power(
+        _interpolate(values), len(origins) // 2 - vertex_count
+    )
+    return DetPolynomial(_trimmed(coeffs))

@@ -13,8 +13,8 @@ from typing import Any
 
 from .config import DEFAULT_ORDER
 from .errors import ExactnessError
-from .graphs import OrientedGraph, build_edge_matrix, check_connected, symmetrize
-from .matrices import det_poly_from_traces, trace_powers
+from .graphs import OrientedGraph, check_connected, symmetrize
+from .matrices import det_poly_from_traces, det_poly_ihara_bass, edge_walk_traces
 from .series import TruncSeries, product_power, series_inverse
 from .witt import (
     SuperDims,
@@ -81,12 +81,17 @@ def build_report(g: OrientedGraph, order: int = DEFAULT_ORDER) -> ReportDocument
             "graph is not connected; all quantities are still well defined per component"
         )
     sg = symmetrize(g)
-    t = build_edge_matrix(sg)
-    dim = t.dim
-    traces = trace_powers(t, max(order, dim))
+    dim = sg.oriented_edge_count
+    traces = edge_walk_traces(sg.origins, sg.ends, max(order, dim))
 
     counts = _cross_checked_counts(traces, order)
     det = det_poly_from_traces(traces, dim)
+
+    # Trace recursion vs the Ihara-Bass determinant, which shares no code
+    # with the traces; the class-count product below ties the traces past
+    # 2|E| to the same polynomial.
+    if det != det_poly_ihara_bass(g.vertex_count, sg.origins, sg.ends):
+        raise ExactnessError("trace-recursion determinant disagrees with Ihara-Bass")
 
     # Determinant route vs the coefficient partition sum (exact match required).
     c_plus = coefficients_from_traces(traces, "plus", order)

@@ -139,7 +139,8 @@ def _binomial(e: int, j: int) -> int:
     for step in range(2, j + 1):
         den *= step
     q, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise ExactnessError(f"binomial C({e}, {j}) is not integral: {num} / {den}")
     return q
 
 

@@ -341,7 +341,8 @@ def class_power_sides(
     index = tuple(t for t in divisors(n * l) if l * t // gcd(l, t) == n * l)
     conv = 0
     for t in index:
-        assert t % n == 0
+        if t % n:
+            raise ExactnessError(f"lcm index t={t} is not a multiple of n={n}")
         conv += (t // n) * cycle_class_count(t, traces_base)
     return conv, cycle_class_count(n, traces_power), index
 

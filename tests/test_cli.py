@@ -76,6 +76,15 @@ def test_report_parse_failure_exit2(capsys, tmp_path):
     assert main(["report", str(tmp_path / "absent.json")]) == 2
 
 
+def test_report_rejects_boolean_endpoints_exit2(capsys, tmp_path):
+    bad = tmp_path / "bools.json"
+    bad.write_text(json.dumps({"vertices": 2, "edges": [[True, False]]}))
+    assert main(["report", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "endpoints must be integers" in captured.err
+
+
 def test_report_cap_exit3(capsys, tmp_path):
     big = tmp_path / "big.json"
     dump_graph(OrientedGraph(1, ((0, 0),) * 40), big)

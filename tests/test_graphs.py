@@ -53,6 +53,10 @@ def test_dict_round_trip():
         OrientedGraph.from_dict({"vertices": 2, "edges": [[0]]})
     with pytest.raises(ValueError):
         OrientedGraph.from_dict({"vertices": True, "edges": [[0, 0]]})
+    with pytest.raises(ValueError, match="endpoints must be integers"):
+        OrientedGraph.from_dict({"vertices": 2, "edges": [[True, False]]})
+    with pytest.raises(ValueError, match="endpoints must be integers"):
+        OrientedGraph.from_dict({"vertices": 2, "edges": [[0, True]]})
 
 
 def test_file_round_trip(tmp_path):
