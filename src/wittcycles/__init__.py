@@ -67,6 +67,7 @@ from .witt import (
     cycle_class_table,
     enveloping_dimensions,
     graded_lie_dimension,
+    graded_lie_dimensions_by_log,
     mobius_trace_sum,
     traces_from_coefficients,
     verify_identity,

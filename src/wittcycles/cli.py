@@ -3,13 +3,15 @@
 Subcommands: report, verify, oracle, necklace, classical, corpus. Output is
 JSON on stdout (deterministic field order, integer payloads as decimal
 strings); --csv switches tabular commands to CSV. Exit codes: 0 success or
-all checks passed, 1 verification failure, 2 input error, 3 resource cap.
+all checks passed, 1 verification failure, 2 input error, 3 resource cap,
+4 stdout closed before the output was written (for example `| head`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Any, Sequence
@@ -48,8 +50,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_OUTPUT = 4
 
 GRAPH_CHECKS = ("det-routes", "det-product", "zeta", "coeff-roundtrip")
+PARTITION_CHECKS = ("zeta", "coeff-roundtrip")
 PAIR_CHECKS = ("s-kron", "class-kron", "s-mixed-powers", "class-mixed-powers")
 POWER_CHECKS = ("s-power", "class-power")
 MULTI_CHECKS = ("s-kron-multi",)
@@ -254,6 +258,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     unknown = tokens - set(ALL_CHECKS)
     if unknown:
         raise ValueError(f"unknown identities: {sorted(unknown)}; available: {list(ALL_CHECKS)}")
+    partition_checks = sorted(tokens & set(PARTITION_CHECKS))
+    if partition_checks and args.order > DEFAULT_LIMITS.max_partition_order:
+        raise CapExceeded(
+            f"--order {args.order} exceeds the partition-sum cap "
+            f"{DEFAULT_LIMITS.max_partition_order} of {', '.join(partition_checks)}"
+        )
 
     named: list[tuple[str, IntMatrix, tuple[int, ...]]] = []
     for path in args.graphs:
@@ -441,6 +451,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except BrokenPipeError:
+        # The reader went away; nobody is left to tell. Point stdout at
+        # devnull so the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OUTPUT
     except (ValueError, OSError, ExactnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

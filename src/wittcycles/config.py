@@ -12,10 +12,14 @@ class Limits:
     max_matrix_dim bounds every square matrix handled by the package
     (2|E| for edge matrices, product dimension for Kronecker products).
     max_cycle_length bounds brute-force cycle enumeration.
+    max_partition_order bounds --order for the verify checks that sum over
+    every integer partition of each n <= order (zeta, coeff-roundtrip),
+    whose cost grows exponentially in the order.
     """
 
     max_matrix_dim: int = 64
     max_cycle_length: int = 10
+    max_partition_order: int = 30
 
 
 DEFAULT_LIMITS = Limits()

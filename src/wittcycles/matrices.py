@@ -11,7 +11,6 @@ unchecked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .config import DEFAULT_LIMITS
@@ -214,28 +213,30 @@ def bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:
 
 def _interpolate(values: Sequence[int]) -> list[int]:
     """Integer coefficients c_0..c_n of the unique degree-<=n polynomial that
-    takes values[k] at z = k for k = 0..n, by exact rational Newton
-    interpolation."""
+    takes values[k] at z = k for k = 0..n, by Newton interpolation.
+
+    The divided differences of an integer polynomial on the nodes 0..n are
+    integers, so each division must be exact; a remainder raises
+    ExactnessError.
+    """
     n = len(values) - 1
     # Newton divided differences on nodes 0, 1, ..., n.
-    diffs: list[Fraction] = [Fraction(v) for v in values]
+    diffs = list(values)
     for level in range(1, n + 1):
         for i in range(n, level - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / level
+            diffs[i], rem = divmod(diffs[i] - diffs[i - 1], level)
+            if rem:
+                raise ExactnessError(
+                    f"divided difference {i} at level {level} is not integral"
+                )
     # Expand product form into monomial coefficients.
-    coeffs = [Fraction(0)] * (n + 1)
+    coeffs = [0] * (n + 1)
     coeffs[0] = diffs[n]
     for node in range(n - 1, -1, -1):
         for i in range(n, 0, -1):
             coeffs[i] = coeffs[i - 1] - node * coeffs[i]
         coeffs[0] = diffs[node] - node * coeffs[0]
-
-    out = []
-    for i, c in enumerate(coeffs):
-        if c.denominator != 1:
-            raise ExactnessError(f"interpolated coefficient {i} is not integral: {c}")
-        out.append(int(c))
-    return out
+    return coeffs
 
 
 def det_poly_direct(t: IntMatrix) -> DetPolynomial:
@@ -243,7 +244,7 @@ def det_poly_direct(t: IntMatrix) -> DetPolynomial:
 
     Evaluates det(I - k*T) at the integer points k = 0..dim with Bareiss
     elimination, then recovers the unique degree-<=dim polynomial through
-    those values with exact rational Newton interpolation.
+    those values with exact integer Newton interpolation.
     """
     n = t.dim
     values = []

@@ -16,14 +16,7 @@ from .errors import ExactnessError
 from .graphs import OrientedGraph, check_connected, symmetrize
 from .matrices import det_poly_from_traces, det_poly_ihara_bass, edge_walk_traces
 from .series import TruncSeries, product_power, series_inverse
-from .witt import (
-    SuperDims,
-    coefficients_from_traces,
-    cycle_class_count,
-    cycle_class_table,
-    graded_lie_dimension,
-    traces_from_coefficients,
-)
+from .witt import SuperDims, cycle_class_count, cycle_class_table, graded_lie_dimensions_by_log
 
 
 @dataclass(frozen=True)
@@ -88,38 +81,27 @@ def build_report(g: OrientedGraph, order: int = DEFAULT_ORDER) -> ReportDocument
     det = det_poly_from_traces(traces, dim)
 
     # Trace recursion vs the Ihara-Bass determinant, which shares no code
-    # with the traces; the class-count product below ties the traces past
-    # 2|E| to the same polynomial.
+    # with the traces; the class-count product ties every trace up to K to
+    # the same polynomial.
     if det != det_poly_ihara_bass(g.vertex_count, sg.origins, sg.ends):
         raise ExactnessError("trace-recursion determinant disagrees with Ihara-Bass")
-
-    # Determinant route vs the coefficient partition sum (exact match required).
-    c_plus = coefficients_from_traces(traces, "plus", order)
-    if c_plus != det.negated_tail(order):
-        raise ExactnessError("partition-sum coefficients disagree with the determinant")
-
-    # Zeta coefficients three ways: series inverse of det, the product over
-    # class counts, and the 'minus' partition sum.
-    det_series = TruncSeries.from_coefficients(det.coefficients, order)
-    zeta = series_inverse(det_series)
-    via_product = product_power(counts, "minus")
-    c_minus = coefficients_from_traces(traces, "minus", order)
-    zeta_ints = zeta.integer_coefficients()
-    if via_product.integer_coefficients() != zeta_ints or zeta_ints[1:] != c_minus:
-        raise ExactnessError("zeta series routes disagree")
     if product_power(counts, "plus").integer_coefficients() != tuple(
         det.coefficient(i) for i in range(order + 1)
     ):
         raise ExactnessError("class-count product disagrees with the determinant")
 
-    # Graded Lie dimensions from the generator superdimensions t(i) = -a_i
-    # must reproduce the class counts, and the trace round-trip must close.
-    dims = SuperDims.from_det_polynomial(det)
-    lie = tuple(graded_lie_dimension(dims, n) for n in range(1, order + 1))
+    # Zeta coefficients two ways: series inverse of det and the product over
+    # class counts.
+    det_series = TruncSeries.from_coefficients(det.coefficients, order)
+    zeta_ints = series_inverse(det_series).integer_coefficients()
+    if product_power(counts, "minus").integer_coefficients() != zeta_ints:
+        raise ExactnessError("zeta series routes disagree")
+
+    # Graded Lie dimensions from the generator superdimensions t(i) = -a_i,
+    # by Moebius inversion of -log det, must reproduce the class counts.
+    lie = graded_lie_dimensions_by_log(SuperDims.from_det_polynomial(det), order)
     if lie != counts:
         raise ExactnessError("graded Lie dimensions disagree with class counts")
-    if traces_from_coefficients(c_plus, "plus", order) != tuple(traces[:order]):
-        raise ExactnessError("coefficient/trace round-trip failed")
 
     return ReportDocument(
         vertex_count=g.vertex_count,

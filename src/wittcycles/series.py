@@ -155,16 +155,36 @@ def one_minus_power(step: int, exponent: int, order: int) -> TruncSeries:
 
 
 def product_power(exponents: Sequence[int], sign: str) -> TruncSeries:
-    """prod_{N=1..K} (1 - z^N)^(sigma * e_N) truncated at K = len(exponents)."""
+    """prod_{N=1..K} (1 - z^N)^(sigma * e_N) truncated at K = len(exponents).
+
+    Multiplies integer coefficient lists in place: the factor for N has only
+    the K//N nonzero terms (-1)^j C(sigma*e_N, j) z^(jN) past its constant 1.
+    """
     sigma = sign_value(sign)
     order = len(exponents)
     if order < 1:
         raise ValueError("exponent sequence must be nonempty")
-    result = TruncSeries.one(order)
+    coeffs = [1] + [0] * order
     for n, e in enumerate(exponents, start=1):
-        if e != 0:
-            result = series_mul(result, one_minus_power(n, sigma * e, order))
-    return result
+        if e == 0:
+            continue
+        exponent = sigma * e
+        # terms[j - 1] = (-1)^j C(exponent, j), built by
+        # j*C(x, j) = (x - j + 1)*C(x, j - 1).
+        terms = []
+        binom = 1
+        for j in range(1, order // n + 1):
+            binom, rem = divmod(binom * (exponent - j + 1), j)
+            if rem:
+                raise ExactnessError(f"binomial C({exponent}, {j}) is not integral")
+            terms.append(-binom if j % 2 else binom)
+        # Top down, so coeffs[i - j*n] still holds the previous product.
+        for i in range(order, n - 1, -1):
+            acc = coeffs[i]
+            for j, term in enumerate(terms[: i // n], start=1):
+                acc += term * coeffs[i - j * n]
+            coeffs[i] = acc
+    return TruncSeries.from_coefficients(coeffs, order)
 
 
 def trace_gen_function(traces: Sequence[int], order: int) -> TruncSeries:

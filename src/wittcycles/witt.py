@@ -19,7 +19,7 @@ from .config import DEFAULT_LIMITS
 from .errors import ExactnessError
 from .matrices import DetPolynomial, IntMatrix, kronecker, mat_pow, trace_powers
 from .numtheory import divisors, exponent_multisets, mobius, pairs_with_lcm, tuples_with_lcm
-from .series import TruncSeries, series_inverse, sign_value
+from .series import TruncSeries, series_inverse, series_log, sign_value
 
 
 def _need_traces(traces: Sequence[int], k: int, what: str) -> None:
@@ -233,15 +233,38 @@ def graded_lie_dimension(dims: SuperDims, n: int) -> int:
     return int(total)
 
 
+def graded_lie_dimensions_by_log(dims: SuperDims, order: int) -> tuple[int, ...]:
+    """graded_lie_dimension for n = 1..order without the partition sum: the
+    Witt partition values are W(n) = [z^n] -log(1 - sum t(i) z^i), from the
+    series_log recurrence in O(order^2), then each dimension is
+    sum_{g|n} mu(g)/g * W(n/g), asserted integral."""
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    log = series_log(_generator_series(dims, order)).coeffs
+    out = []
+    for n in range(1, order + 1):
+        total = -sum(
+            (Fraction(mobius(g), g) * log[n // g] for g in divisors(n)), Fraction(0)
+        )
+        if total.denominator != 1:
+            raise ExactnessError(f"graded dimension {n} came out non-integral: {total}")
+        out.append(int(total))
+    return tuple(out)
+
+
+def _generator_series(dims: SuperDims, order: int) -> TruncSeries:
+    """1 - sum t(i) z^i mod z^(order+1)."""
+    return TruncSeries.from_coefficients(
+        [1] + [-dims.at(i) for i in range(1, order + 1)], order
+    )
+
+
 def enveloping_dimensions(dims: SuperDims, order: int) -> tuple[int, ...]:
     """Dimensions of the graded pieces of the enveloping algebra: coefficients
     z^1..z^order of 1 / (1 - sum t(i) z^i)."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    denom = TruncSeries.from_coefficients(
-        [1] + [-dims.at(i) for i in range(1, order + 1)], order
-    )
-    return series_inverse(denom).integer_coefficients()[1:]
+    return series_inverse(_generator_series(dims, order)).integer_coefficients()[1:]
 
 
 # ---------------------------------------------------------------------------

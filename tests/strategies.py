@@ -4,6 +4,17 @@ import hypothesis.strategies as st
 
 from wittcycles import IntMatrix, OrientedGraph
 
+# Multigraph shapes the Ihara-Bass identity treats specially, with |E| - |V|
+# of either sign: forests, loops, parallel edges, several components.
+SHAPES = {
+    "tree": OrientedGraph(4, ((0, 1), (1, 2), (1, 3))),
+    "forest_with_isolated_vertex": OrientedGraph(5, ((0, 1), (2, 3))),
+    "loop_and_isolated_vertices": OrientedGraph(3, ((1, 1),)),
+    "parallel_edges": OrientedGraph(2, ((0, 1), (0, 1), (1, 0))),
+    "two_components": OrientedGraph(4, ((0, 0), (0, 1), (2, 3), (3, 2), (3, 3))),
+    "loops_on_one_vertex": OrientedGraph(1, ((0, 0), (0, 0))),
+}
+
 
 @st.composite
 def oriented_graphs(draw, max_vertices=3, max_edges=3):

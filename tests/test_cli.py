@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wittcycles
 from wittcycles import OrientedGraph, dump_graph, load_graph
 from wittcycles.cli import main
+
+SRC = str(Path(wittcycles.__file__).resolve().parents[1])
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +157,53 @@ def test_verify_perturbed_trace_fails_with_witness(capsys, corpus_dir):
 
 def test_verify_rejects_unknown_identity(capsys, corpus_dir):
     assert main(["verify", str(corpus_dir / "theta.json"), "--identities", "nope"]) == 2
+
+
+def test_verify_partition_checks_over_cap_exit3(capsys, corpus_dir):
+    for identities in ("zeta", "coeff-roundtrip", "det-product,zeta"):
+        code = main(["verify", str(corpus_dir / "theta.json"), "--order", "31",
+                     "--identities", identities])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "partition-sum cap 30" in captured.err
+    assert main(["verify", str(corpus_dir / "theta.json"), "--order", "31"]) == 3
+
+
+def test_verify_partition_checks_at_cap(capsys, corpus_dir):
+    code, doc = run_json(capsys, "verify", corpus_dir / "theta.json", "--order", "30",
+                         "--identities", "zeta")
+    assert code == 0
+    assert doc["all_pass"] is True
+
+
+def test_verify_over_cap_without_partition_checks(capsys, corpus_dir):
+    code, doc = run_json(capsys, "verify", corpus_dir / "theta.json", "--order", "31",
+                         "--identities", "det-routes,det-product")
+    assert code == 0
+    assert doc["all_pass"] is True
+
+
+def run_shell(command):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run(["bash", "-c", command], capture_output=True, env=env, timeout=60)
+
+
+def test_closed_stdout_pipe_is_silent_exit4():
+    result = run_shell(
+        f'"{sys.executable}" -m wittcycles classical 3000 2 | head -c 10; '
+        'exit "${PIPESTATUS[0]}"'
+    )
+    assert result.stdout == b'{\n  "color'
+    assert result.stderr == b""
+    assert result.returncode == 4
+
+
+def test_missing_input_file_still_exit2(tmp_path):
+    result = run_shell(f'"{sys.executable}" -m wittcycles report "{tmp_path / "absent.json"}"')
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert b"error:" in result.stderr and b"absent.json" in result.stderr
 
 
 def test_oracle_theta(capsys, corpus_dir):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import wittcycles.report
-from strategies import oriented_graphs
+from strategies import SHAPES, oriented_graphs
 from wittcycles import (
     ExactnessError,
     OrientedGraph,
@@ -21,16 +21,6 @@ from wittcycles import (
     trace_powers,
 )
 from wittcycles.matrices import DetPolynomial, _times_one_minus_z2_power
-
-# Each shape the identity treats specially, with |E| - |V| of either sign.
-SHAPES = {
-    "tree": OrientedGraph(4, ((0, 1), (1, 2), (1, 3))),
-    "forest_with_isolated_vertex": OrientedGraph(5, ((0, 1), (2, 3))),
-    "loop_and_isolated_vertices": OrientedGraph(3, ((1, 1),)),
-    "parallel_edges": OrientedGraph(2, ((0, 1), (0, 1), (1, 0))),
-    "two_components": OrientedGraph(4, ((0, 0), (0, 1), (2, 3), (3, 2), (3, 3))),
-    "loops_on_one_vertex": OrientedGraph(1, ((0, 0), (0, 0))),
-}
 
 
 def routes_agree(g: OrientedGraph, k: int) -> None:

@@ -5,6 +5,7 @@ from strategies import binary_matrices, paired_binary_matrices
 from wittcycles import (
     CapExceeded,
     DetPolynomial,
+    ExactnessError,
     IntMatrix,
     det_poly_direct,
     det_poly_from_traces,
@@ -13,6 +14,7 @@ from wittcycles import (
     mat_pow,
     trace_powers,
 )
+from wittcycles.matrices import _interpolate
 
 
 def poly_mul(a, b):
@@ -147,8 +149,6 @@ def test_det_routes_agree_on_corpus(corpus_matrices):
 
 
 def test_det_from_traces_rejects_inconsistent_input():
-    from wittcycles import ExactnessError
-
     with pytest.raises(ExactnessError):
         det_poly_from_traces([1, 2], 2)  # no integer matrix has these traces
 
@@ -161,3 +161,18 @@ def test_det_polynomial_accessors():
     assert p.negated_tail(6) == (4, -2, -4, 3, 0, 0)
     with pytest.raises(ValueError):
         DetPolynomial((2, 1))
+
+
+def test_interpolate_integer_polynomial():
+    # 1 + z + z^2 at z = 0, 1, 2, and -2z^3 + 5 at z = 0..3.
+    assert _interpolate([1, 3, 7]) == [1, 1, 1]
+    assert _interpolate([5, 3, -11, -49]) == [5, 0, 0, -2]
+    assert _interpolate([4]) == [4]
+
+
+@pytest.mark.parametrize("values", [[0, 0, 1], [0, 1, 0, 0]])
+def test_interpolate_rejects_non_integral_difference(values):
+    # z(z - 1)/2 and z(z - 2)(z - 3)/2 take integer values on the nodes but
+    # have non-integral coefficients.
+    with pytest.raises(ExactnessError):
+        _interpolate(values)
